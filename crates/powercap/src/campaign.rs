@@ -13,9 +13,8 @@
 //! * [`run`] — the campaign simulator behind any [`CapPolicy`]. With no
 //!   site budget, partitions are independent event-driven DES runs
 //!   ([`Scheduler::run_with`]) fanned out over the `vpp_substrate` pool in
-//!   shards and merged deterministically; this path is byte-identical to
-//!   the superseded enum engine (retained as [`reference::run_enum`], the
-//!   `policy_equivalence` suite pins it). With `site_budget_w` set, the
+//!   shards and merged deterministically; the `policy_golden` suite
+//!   freezes this path's outcomes by digest. With `site_budget_w` set, the
 //!   partitions couple through a [`crate::site::SiteBudget`] ledger and
 //!   run as one global-backfill event loop ([`crate::site::run_site`]).
 //!   Either way the merged [`ScheduleOutcome`] is byte-identical for any
@@ -299,7 +298,7 @@ impl CampaignOutcome {
 ///
 /// # Panics
 /// If `shards == 0`, or a generated job cannot fit its partition (see
-/// [`Scheduler::job_demand`]; impossible with the default machine shape),
+/// [`Scheduler::job_demand_with`]; impossible with the default machine shape),
 /// or the site budget is too tight for some job to ever start.
 #[must_use]
 pub fn run(spec: &CampaignSpec, policy: &dyn CapPolicy, shards: usize) -> CampaignOutcome {
@@ -313,9 +312,7 @@ pub fn run(spec: &CampaignSpec, policy: &dyn CapPolicy, shards: usize) -> Campai
         return summarise(spec, &jobs, &sr.demand, std::slice::from_ref(&sr.outcome), sr.backfilled);
     }
 
-    let outcomes = run_partitioned(spec, route(spec, &jobs), shards, |queue| {
-        sched.run_with(queue, policy)
-    });
+    let outcomes = run_partitioned(spec, &sched, policy, route(spec, &jobs), shards);
     let slack = SiteView::slack();
     let demand: Vec<(f64, f64)> = jobs
         .iter()
@@ -335,16 +332,14 @@ fn route(spec: &CampaignSpec, jobs: &[BatchJob]) -> Vec<Vec<BatchJob>> {
 
 /// Fan per-partition queues out over the pool in contiguous shard chunks;
 /// flattening restores partition order, so the result is independent of
-/// the chunk width. Shared by the trait path and the enum reference.
-fn run_partitioned<F>(
+/// the chunk width.
+fn run_partitioned(
     spec: &CampaignSpec,
+    sched: &Scheduler,
+    policy: &dyn CapPolicy,
     queues: Vec<Vec<BatchJob>>,
     shards: usize,
-    sim: F,
-) -> Vec<ScheduleOutcome>
-where
-    F: Fn(&[BatchJob]) -> ScheduleOutcome + Sync,
-{
+) -> Vec<ScheduleOutcome> {
     let chunk = spec.partitions.div_ceil(shards);
     let chunks: Vec<Vec<(usize, Vec<BatchJob>)>> = queues
         .into_iter()
@@ -362,7 +357,7 @@ where
                     partition = p as u64,
                     jobs = queue.len() as u64
                 );
-                sim(&queue)
+                sched.run_with(&queue, policy)
             })
             .collect::<Vec<_>>()
     })
@@ -373,7 +368,7 @@ where
 
 /// Merge outcomes and derive the campaign distributions from the per-job
 /// `(runtime, power)` demands the engine actually ran (policy-free: the
-/// enum reference, the trait path and the site engine all land here).
+/// per-partition path and the site engine both land here).
 fn summarise(
     spec: &CampaignSpec,
     jobs: &[BatchJob],
@@ -460,45 +455,6 @@ fn merge_spans(outcomes: &[ScheduleOutcome]) -> Vec<(u64, f64, f64)> {
         merged.push(span);
     }
     merged
-}
-
-pub mod reference {
-    //! The superseded closed-enum campaign path, retained as the semantic
-    //! reference for the [`CapPolicy`](super::CapPolicy) redesign: the
-    //! `policy_equivalence` differential suite runs both on the same
-    //! specs and demands byte-identical [`CampaignOutcome`]s whenever the
-    //! site budget is slack (i.e. absent — the enum engine predates the
-    //! site ledger and never had one).
-
-    use super::{route, run_partitioned, summarise, CampaignOutcome, CampaignSpec};
-    use crate::scheduler::Policy;
-    use vpp_substrate::trace;
-
-    /// Run the campaign under the closed [`Policy`] enum, exactly as
-    /// before the trait redesign: per-partition [`Scheduler::run`]
-    /// (enum-dispatched caps), shard fan-out, deterministic merge.
-    ///
-    /// [`Scheduler::run`]: crate::scheduler::Scheduler::run
-    ///
-    /// # Panics
-    /// If `shards == 0`, a job cannot fit its partition, or the spec
-    /// carries a site budget (the enum engine has no site ledger).
-    #[must_use]
-    pub fn run_enum(spec: &CampaignSpec, policy: Policy, shards: usize) -> CampaignOutcome {
-        assert!(shards > 0, "need at least one shard");
-        assert!(
-            spec.site_budget_w.is_none(),
-            "the enum reference predates the site ledger"
-        );
-        let jobs = spec.generate();
-        let sched = spec.scheduler();
-        trace::counter("campaign.jobs", jobs.len() as u64);
-        let outcomes = run_partitioned(spec, route(spec, &jobs), shards, |queue| {
-            sched.run(queue, policy)
-        });
-        let demand: Vec<(f64, f64)> = jobs.iter().map(|j| sched.job_demand(j, policy)).collect();
-        summarise(spec, &jobs, &demand, &outcomes, 0)
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,21 +1,18 @@
-//! The open policy surface of the campaign scheduler.
+//! The policy surface of the campaign scheduler.
 //!
-//! PR 6's [`crate::scheduler::Policy`] enum was closed: adding a policy
-//! meant editing the scheduler itself, and no policy could see anything
-//! beyond the one job it was capping. This module redesigns that surface
-//! as the [`CapPolicy`] trait: a policy is any object that, given a job,
-//! the scheduler's loss budget and a [`SiteView`] of the shared site
-//! ledger (committed watts across every partition, maintained by the DES
-//! at job start/finish events), decides the GPU cap the job runs under.
+//! A policy is any [`CapPolicy`] object that, given a job and a
+//! [`SiteView`] of the shared site ledger (committed watts across every
+//! partition, maintained by the DES at job start/finish events), decides
+//! the GPU cap the job runs under. Every engine — the per-partition
+//! [`crate::scheduler::Scheduler`], the coupled [`crate::site::run_site`]
+//! and the campaign runner — schedules through this one trait.
 //!
-//! The enum's trio — [`Uncapped`], [`ClassAware`], [`SweetSpot`] — is
-//! reimplemented here with the *identical* arithmetic, and the
-//! `policy_equivalence` differential suite pins the trait-based campaign
-//! byte-identical to the enum-based reference whenever the site budget is
-//! slack. [`TcoAware`] is the first policy only the trait can express
-//! cleanly: it prices each candidate cap in dollars (energy at a $/kWh
-//! tariff plus node occupancy at a $/node-hour rate, the Wattlytics
-//! objective) and picks the cheapest.
+//! [`Uncapped`], [`FixedCap`], [`ClassAware`] and [`SweetSpot`] are the
+//! paper's baseline, fixed-cap and §VI policies plus Afzal et al.'s
+//! energy sweet spot; the `policy_golden` suite freezes their campaign
+//! outcomes. [`TcoAware`] prices each candidate cap in dollars (energy at
+//! a $/kWh tariff plus node occupancy at a $/node-hour rate, the
+//! Wattlytics objective) and picks the cheapest.
 
 use crate::scheduler::BatchJob;
 
@@ -34,8 +31,7 @@ pub struct SiteView {
 
 impl SiteView {
     /// The slack view: no site cap, nothing committed. This is what
-    /// per-partition scheduling (no `--site-budget`) presents, and the
-    /// view under which the trio must reproduce the enum bit-for-bit.
+    /// per-partition scheduling (no `--site-budget`) presents.
     #[must_use]
     pub fn slack() -> Self {
         Self {
@@ -43,31 +39,6 @@ impl SiteView {
             committed_w: 0.0,
         }
     }
-
-    /// Watts still free under the site cap (infinite when unbounded).
-    #[must_use]
-    pub fn free_w(&self) -> f64 {
-        (self.budget_w - self.committed_w).max(0.0)
-    }
-
-    /// Fraction of the site budget already committed (0 when unbounded).
-    #[must_use]
-    pub fn pressure(&self) -> f64 {
-        if self.budget_w.is_finite() && self.budget_w > 0.0 {
-            (self.committed_w / self.budget_w).clamp(0.0, 1.0)
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Everything a policy may consult besides the job itself: the
-/// scheduler's tunables, without handing over the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PolicyCtx {
-    /// Acceptable slowdown for loss-bounded capping (scheduler default
-    /// 0.10, the paper's <10 % rule).
-    pub max_loss: f64,
 }
 
 /// A capping policy: decides, per job, the GPU power cap it runs under.
@@ -81,8 +52,8 @@ pub struct PolicyCtx {
 ///   [`SiteView`]; a job skipped this wake is re-asked later, so a
 ///   site-observing policy may answer differently as load moves. Given
 ///   equal inputs the answer must be equal — policies are pure functions
-///   of `(job, ctx, site)`, which is what keeps campaigns byte-
-///   deterministic across shard counts and repeated runs.
+///   of `(job, site)`, which is what keeps campaigns byte-deterministic
+///   across shard counts and repeated runs.
 /// * Implementations must be `Sync`: partitions fan out over the
 ///   substrate pool and share one policy object.
 pub trait CapPolicy: Sync {
@@ -90,7 +61,7 @@ pub trait CapPolicy: Sync {
     fn name(&self) -> &str;
 
     /// The cap for `job`, or `None` for the job's own default limit.
-    fn cap_for(&self, job: &BatchJob, ctx: &PolicyCtx, site: &SiteView) -> Option<f64>;
+    fn cap_for(&self, job: &BatchJob, site: &SiteView) -> Option<f64>;
 }
 
 /// Default limits everywhere — the baseline the paper measures against.
@@ -102,7 +73,7 @@ impl CapPolicy for Uncapped {
         "uncapped"
     }
 
-    fn cap_for(&self, _job: &BatchJob, _ctx: &PolicyCtx, _site: &SiteView) -> Option<f64> {
+    fn cap_for(&self, _job: &BatchJob, _site: &SiteView) -> Option<f64> {
         None
     }
 }
@@ -116,25 +87,31 @@ impl CapPolicy for FixedCap {
         "fixed_cap"
     }
 
-    fn cap_for(&self, _job: &BatchJob, _ctx: &PolicyCtx, _site: &SiteView) -> Option<f64> {
+    fn cap_for(&self, _job: &BatchJob, _site: &SiteView) -> Option<f64> {
         Some(self.0)
     }
 }
 
 /// The paper's §VI proposal: per-class caps chosen so the loss stays
-/// within `ctx.max_loss`; unclassifiable jobs stay uncapped.
+/// within [`ClassAware::MAX_LOSS`]; unclassifiable jobs stay uncapped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassAware;
+
+impl ClassAware {
+    /// Acceptable slowdown for loss-bounded capping: the paper's <10 %
+    /// rule.
+    pub const MAX_LOSS: f64 = 0.10;
+}
 
 impl CapPolicy for ClassAware {
     fn name(&self) -> &str {
         "class_aware"
     }
 
-    fn cap_for(&self, job: &BatchJob, ctx: &PolicyCtx, _site: &SiteView) -> Option<f64> {
+    fn cap_for(&self, job: &BatchJob, _site: &SiteView) -> Option<f64> {
         match job.class {
             crate::scheduler::WorkloadClass::Unknown => None,
-            _ => Some(job.response.recommended_cap(ctx.max_loss)),
+            _ => Some(job.response.recommended_cap(Self::MAX_LOSS)),
         }
     }
 }
@@ -150,7 +127,7 @@ impl CapPolicy for SweetSpot {
         "sweet_spot"
     }
 
-    fn cap_for(&self, job: &BatchJob, _ctx: &PolicyCtx, _site: &SiteView) -> Option<f64> {
+    fn cap_for(&self, job: &BatchJob, _site: &SiteView) -> Option<f64> {
         Some(job.response.sweet_spot_cap())
     }
 }
@@ -220,7 +197,7 @@ impl CapPolicy for TcoAware {
         "tco_aware"
     }
 
-    fn cap_for(&self, job: &BatchJob, _ctx: &PolicyCtx, _site: &SiteView) -> Option<f64> {
+    fn cap_for(&self, job: &BatchJob, _site: &SiteView) -> Option<f64> {
         let mut best = (f64::INFINITY, job.response.max_cap());
         for &(cap, perf, node_w) in job.response.points() {
             let runtime = job.base_runtime_s / perf;
@@ -256,34 +233,30 @@ mod tests {
         }
     }
 
-    fn ctx() -> PolicyCtx {
-        PolicyCtx { max_loss: 0.10 }
-    }
-
     #[test]
-    fn trio_matches_the_enum_arithmetic() {
+    fn named_policies_pick_their_documented_caps() {
         let job = hungry_job(2);
         let site = SiteView::slack();
-        assert_eq!(Uncapped.cap_for(&job, &ctx(), &site), None);
-        assert_eq!(FixedCap(250.0).cap_for(&job, &ctx(), &site), Some(250.0));
+        assert_eq!(Uncapped.cap_for(&job, &site), None);
+        assert_eq!(FixedCap(250.0).cap_for(&job, &site), Some(250.0));
         assert_eq!(
-            ClassAware.cap_for(&job, &ctx(), &site),
+            ClassAware.cap_for(&job, &site),
             Some(job.response.recommended_cap(0.10))
         );
         assert_eq!(
-            SweetSpot.cap_for(&job, &ctx(), &site),
+            SweetSpot.cap_for(&job, &site),
             Some(job.response.sweet_spot_cap())
         );
         let mut unknown = job;
         unknown.class = WorkloadClass::Unknown;
-        assert_eq!(ClassAware.cap_for(&unknown, &ctx(), &site), None, "unknown stays uncapped");
+        assert_eq!(ClassAware.cap_for(&unknown, &site), None, "unknown stays uncapped");
     }
 
     #[test]
     fn tco_aware_never_beats_itself_with_uncapped() {
         let job = hungry_job(2);
         let tco = TcoAware::default();
-        let cap = tco.cap_for(&job, &ctx(), &SiteView::slack()).unwrap();
+        let cap = tco.cap_for(&job, &SiteView::slack()).unwrap();
         let cost_at = |cap: f64| {
             let (perf, node_w) = (job.response.perf_at(cap), job.response.power_at(cap));
             let rt = job.base_runtime_s / perf;
@@ -307,7 +280,7 @@ mod tests {
                 node_hour_usd: 2.0,
             },
         };
-        let cap = hours_only.cap_for(&job, &ctx(), &SiteView::slack()).unwrap();
+        let cap = hours_only.cap_for(&job, &SiteView::slack()).unwrap();
         assert_eq!(job.response.perf_at(cap), 1.0);
         // Free machines: only energy matters — the sweet spot.
         let energy_only = TcoAware {
@@ -317,21 +290,8 @@ mod tests {
             },
         };
         assert_eq!(
-            energy_only.cap_for(&job, &ctx(), &SiteView::slack()),
+            energy_only.cap_for(&job, &SiteView::slack()),
             Some(job.response.sweet_spot_cap())
         );
-    }
-
-    #[test]
-    fn site_view_accounting() {
-        let slack = SiteView::slack();
-        assert!(slack.free_w().is_infinite());
-        assert_eq!(slack.pressure(), 0.0);
-        let tight = SiteView {
-            budget_w: 100_000.0,
-            committed_w: 75_000.0,
-        };
-        assert!((tight.free_w() - 25_000.0).abs() < 1e-9);
-        assert!((tight.pressure() - 0.75).abs() < 1e-12);
     }
 }

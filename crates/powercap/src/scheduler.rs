@@ -8,7 +8,7 @@
 //!
 //! ## Simulation engine
 //!
-//! [`Scheduler::run`] is event-driven: job finishes live in a
+//! [`Scheduler::run_with`] is event-driven: job finishes live in a
 //! [`vpp_sim::EventQueue`] and the full admission pass (retire finished
 //! jobs, re-derive free nodes/power, scan the FIFO queue) runs only at
 //! wakes where the admission state can actually change — a finish is due
@@ -20,7 +20,7 @@
 //! `scheduler_equivalence` property suite demands `ScheduleOutcome`
 //! equality (spans, peak, integral) between the two on random queues.
 
-use crate::policy::{CapPolicy, PolicyCtx, SiteView};
+use crate::policy::{CapPolicy, SiteView};
 
 /// Workload classes the scheduler can recognise from job inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,13 +88,13 @@ impl CapResponse {
         self.interp(cap_w, |p| p.2)
     }
 
-    /// Deepest cap whose performance loss stays within `max_loss`
+    /// Deepest cap whose performance loss stays within `loss_budget`
     /// (the paper's rule: 50 % TDP costs <10 % for most VASP workloads).
     /// Scans the measured caps from deepest to shallowest.
     #[must_use]
-    pub fn recommended_cap(&self, max_loss: f64) -> f64 {
+    pub fn recommended_cap(&self, loss_budget: f64) -> f64 {
         for &(c, p, _) in &self.points {
-            if p >= 1.0 - max_loss {
+            if p >= 1.0 - loss_budget {
                 return c;
             }
         }
@@ -156,21 +156,6 @@ pub struct BatchJob {
     pub arrival_s: f64,
 }
 
-/// Capping policies the scheduler can run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Policy {
-    /// Default limits everywhere (the baseline).
-    Uncapped,
-    /// One fixed GPU cap for every job.
-    FixedCap(f64),
-    /// The paper's proposal: per-class caps chosen so the loss stays
-    /// within 10 % (Unknown jobs stay uncapped).
-    ClassAware,
-    /// Energy-chasing: every job runs at its measured energy-per-work
-    /// minimum ([`CapResponse::sweet_spot_cap`]), whatever the slowdown.
-    SweetSpot,
-}
-
 /// Result of a schedule simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleOutcome {
@@ -204,8 +189,6 @@ pub struct Scheduler {
     pub power_budget_w: f64,
     /// Scheduling cycle, seconds (paper: ~30 s).
     pub cycle_s: f64,
-    /// Acceptable slowdown for ClassAware capping.
-    pub max_loss: f64,
 }
 
 impl Scheduler {
@@ -217,43 +200,17 @@ impl Scheduler {
             total_nodes,
             power_budget_w,
             cycle_s: 30.0,
-            max_loss: 0.10,
-        }
-    }
-
-    fn cap_for(&self, job: &BatchJob, policy: Policy) -> Option<f64> {
-        match policy {
-            Policy::Uncapped => None,
-            Policy::FixedCap(c) => Some(c),
-            Policy::ClassAware => match job.class {
-                WorkloadClass::Unknown => None,
-                _ => Some(job.response.recommended_cap(self.max_loss)),
-            },
-            Policy::SweetSpot => Some(job.response.sweet_spot_cap()),
         }
     }
 
     /// Effective runtime (seconds) and whole-job power draw (watts) for
-    /// `job` under `policy`. Uncapped jobs run at the top of their own
-    /// measured support ([`CapResponse::uncapped`]), not at a hardwired
-    /// site constant.
+    /// `job` under `policy`, which decides the cap while observing `site`.
+    /// Uncapped jobs run at the top of their own measured support
+    /// ([`CapResponse::uncapped`]), not at a hardwired site constant.
     ///
     /// # Panics
     /// If the job needs more nodes than the system has, or its power
     /// demand alone exceeds the budget (it could never start).
-    #[must_use]
-    pub fn job_demand(&self, job: &BatchJob, policy: Policy) -> (f64, f64) {
-        self.demand_from_cap(job, self.cap_for(job, policy))
-    }
-
-    /// [`Scheduler::job_demand`] for the open [`CapPolicy`] surface: the
-    /// policy decides the cap while observing `site`, the demand
-    /// arithmetic is shared with the enum path so the two cannot drift
-    /// (the `policy_equivalence` suite pins them byte-identical under a
-    /// slack site view).
-    ///
-    /// # Panics
-    /// As [`Scheduler::job_demand`].
     #[must_use]
     pub fn job_demand_with(
         &self,
@@ -261,18 +218,6 @@ impl Scheduler {
         policy: &dyn CapPolicy,
         site: &SiteView,
     ) -> (f64, f64) {
-        self.demand_from_cap(job, policy.cap_for(job, &self.policy_ctx(), site))
-    }
-
-    /// The context trait-based policies evaluate under.
-    #[must_use]
-    pub fn policy_ctx(&self) -> PolicyCtx {
-        PolicyCtx {
-            max_loss: self.max_loss,
-        }
-    }
-
-    fn demand_from_cap(&self, job: &BatchJob, cap: Option<f64>) -> (f64, f64) {
         assert!(
             job.nodes <= self.total_nodes,
             "job {} wants {} of {} nodes",
@@ -280,7 +225,7 @@ impl Scheduler {
             job.nodes,
             self.total_nodes
         );
-        let (perf, node_power) = match cap {
+        let (perf, node_power) = match policy.cap_for(job, site) {
             Some(c) => (job.response.perf_at(c), job.response.power_at(c)),
             None => job.response.uncapped(),
         };
@@ -293,30 +238,16 @@ impl Scheduler {
         (job.base_runtime_s / perf, power)
     }
 
-    /// Simulate the queue under `policy`, event-driven.
+    /// Simulate the queue under `policy`, event-driven. Caps are decided
+    /// up front under the slack [`SiteView`] — a single partition has no
+    /// site ledger; the coupled engine lives in [`crate::site::run_site`].
     ///
     /// Observationally identical to [`reference::run_polling`]; the full
     /// admission pass runs only at wakes where a finish is due or an
     /// arrival has passed, every other cycle boundary is O(1).
     ///
     /// # Panics
-    /// As [`Scheduler::job_demand`], for any job in the queue.
-    #[must_use]
-    pub fn run(&self, queue: &[BatchJob], policy: Policy) -> ScheduleOutcome {
-        let demands: Vec<(f64, f64)> = queue
-            .iter()
-            .map(|j| self.job_demand(j, policy))
-            .collect();
-        self.run_demands(queue, &demands)
-    }
-
-    /// [`Scheduler::run`] for the open [`CapPolicy`] surface. Caps are
-    /// decided up front under the slack [`SiteView`] — a single partition
-    /// has no site ledger; the coupled engine lives in
-    /// [`crate::site::run_site`].
-    ///
-    /// # Panics
-    /// As [`Scheduler::job_demand`], for any job in the queue.
+    /// As [`Scheduler::job_demand_with`], for any job in the queue.
     #[must_use]
     pub fn run_with(&self, queue: &[BatchJob], policy: &dyn CapPolicy) -> ScheduleOutcome {
         let site = SiteView::slack();
@@ -324,12 +255,7 @@ impl Scheduler {
             .iter()
             .map(|j| self.job_demand_with(j, policy, &site))
             .collect();
-        self.run_demands(queue, &demands)
-    }
 
-    /// The event-driven engine proper, shared by the enum and trait entry
-    /// points so an API redesign cannot change a single admission.
-    fn run_demands(&self, queue: &[BatchJob], demands: &[(f64, f64)]) -> ScheduleOutcome {
         // Arrival order: indices by (arrival, submission order). A cursor
         // walks it forward as arrivals pass, giving O(1) access to the
         // next arrival that could change the admission state.
@@ -469,22 +395,28 @@ pub(crate) fn finalise(
 
 pub mod reference {
     //! The superseded fixed-cycle polling engine, kept as the semantic
-    //! reference for [`Scheduler::run`]: the `scheduler_equivalence`
+    //! reference for [`Scheduler::run_with`]: the `scheduler_equivalence`
     //! property suite runs both on random queues and demands identical
     //! [`ScheduleOutcome`]s — admission order, spans, peak and integral.
 
-    use super::{finalise, BatchJob, Policy, Running, ScheduleOutcome, Scheduler};
+    use super::{finalise, BatchJob, Running, ScheduleOutcome, Scheduler};
+    use crate::policy::{CapPolicy, SiteView};
 
     /// Simulate the queue under `policy` with the original polling loop:
     /// every wake rescans `running` and `pending` in full.
     ///
     /// # Panics
-    /// As [`Scheduler::job_demand`], for any job in the queue.
+    /// As [`Scheduler::job_demand_with`], for any job in the queue.
     #[must_use]
-    pub fn run_polling(sched: &Scheduler, queue: &[BatchJob], policy: Policy) -> ScheduleOutcome {
+    pub fn run_polling(
+        sched: &Scheduler,
+        queue: &[BatchJob],
+        policy: &dyn CapPolicy,
+    ) -> ScheduleOutcome {
+        let site = SiteView::slack();
         let demands: Vec<(f64, f64)> = queue
             .iter()
-            .map(|j| sched.job_demand(j, policy))
+            .map(|j| sched.job_demand_with(j, policy, &site))
             .collect();
 
         let mut pending: Vec<usize> = (0..queue.len()).collect();
@@ -572,6 +504,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{ClassAware, FixedCap, SweetSpot, Uncapped};
 
     /// A VASP-like cap response: 300 W free, 200 W ≈ 9 % loss, 100 W dire.
     fn hungry_response() -> CapResponse {
@@ -633,7 +566,7 @@ mod tests {
         let s = Scheduler::new(4, 10_000.0);
         let mut j = job(1, WorkloadClass::Unknown, 2, 100.0);
         j.response = r;
-        let (runtime, power) = s.job_demand(&j, Policy::Uncapped);
+        let (runtime, power) = s.job_demand_with(&j, &Uncapped, &SiteView::slack());
         assert!((runtime - 100.0).abs() < 1e-12);
         assert!((power - 3000.0).abs() < 1e-12);
     }
@@ -652,8 +585,8 @@ mod tests {
         let queue: Vec<BatchJob> = (0..4)
             .map(|i| job(i, WorkloadClass::PowerHungry, 1, 600.0))
             .collect();
-        let base = s.run(&queue, Policy::Uncapped);
-        let sweet = s.run(&queue, Policy::SweetSpot);
+        let base = s.run_with(&queue, &Uncapped);
+        let sweet = s.run_with(&queue, &SweetSpot);
         // 200 W sweet spot: 9 % slower but far below uncapped power.
         assert!(sweet.makespan_s > base.makespan_s);
         assert!(sweet.peak_power_w < base.peak_power_w);
@@ -672,16 +605,13 @@ mod tests {
                 j
             })
             .collect();
-        for policy in [
-            Policy::Uncapped,
-            Policy::FixedCap(200.0),
-            Policy::ClassAware,
-            Policy::SweetSpot,
-        ] {
+        let policies: [&dyn CapPolicy; 4] = [&Uncapped, &FixedCap(200.0), &ClassAware, &SweetSpot];
+        for policy in policies {
             assert_eq!(
-                s.run(&queue, policy),
+                s.run_with(&queue, policy),
                 reference::run_polling(&s, &queue, policy),
-                "{policy:?}"
+                "{}",
+                policy.name()
             );
         }
     }
@@ -695,7 +625,7 @@ mod tests {
     #[test]
     fn single_job_runs_to_completion() {
         let s = Scheduler::new(4, 10_000.0);
-        let out = s.run(&[job(1, WorkloadClass::PowerHungry, 2, 600.0)], Policy::Uncapped);
+        let out = s.run_with(&[job(1, WorkloadClass::PowerHungry, 2, 600.0)], &Uncapped);
         assert_eq!(out.job_spans.len(), 1);
         assert!((out.makespan_s - 600.0).abs() < 1e-6);
         assert!((out.peak_power_w - 2.0 * 1810.0).abs() < 1e-6);
@@ -707,14 +637,16 @@ mod tests {
         let queue: Vec<BatchJob> = (0..6)
             .map(|i| job(i, WorkloadClass::PowerHungry, 1, 300.0))
             .collect();
-        for policy in [Policy::Uncapped, Policy::FixedCap(200.0), Policy::ClassAware] {
-            let out = s.run(&queue, policy);
+        let policies: [&dyn CapPolicy; 3] = [&Uncapped, &FixedCap(200.0), &ClassAware];
+        for policy in policies {
+            let out = s.run_with(&queue, policy);
             assert!(
                 out.peak_power_w <= 4000.0 + 1e-6,
-                "{policy:?}: peak {}",
+                "{}: peak {}",
+                policy.name(),
                 out.peak_power_w
             );
-            assert_eq!(out.job_spans.len(), 6, "{policy:?}: all jobs must finish");
+            assert_eq!(out.job_spans.len(), 6, "{}: all jobs must finish", policy.name());
         }
     }
 
@@ -726,8 +658,8 @@ mod tests {
         let queue: Vec<BatchJob> = (0..6)
             .map(|i| job(i, WorkloadClass::PowerHungry, 1, 600.0))
             .collect();
-        let base = s.run(&queue, Policy::Uncapped);
-        let capped = s.run(&queue, Policy::ClassAware);
+        let base = s.run_with(&queue, &Uncapped);
+        let capped = s.run_with(&queue, &ClassAware);
         assert!(
             capped.makespan_s < base.makespan_s,
             "capped {} vs uncapped {}",
@@ -742,8 +674,8 @@ mod tests {
         let queue: Vec<BatchJob> = (0..4)
             .map(|i| job(i, WorkloadClass::PowerHungry, 1, 600.0))
             .collect();
-        let base = s.run(&queue, Policy::Uncapped);
-        let capped = s.run(&queue, Policy::ClassAware);
+        let base = s.run_with(&queue, &Uncapped);
+        let capped = s.run_with(&queue, &ClassAware);
         // With unlimited power, capping only adds the ~9 % slowdown.
         assert!(capped.makespan_s >= base.makespan_s);
         assert!(capped.makespan_s <= base.makespan_s * 1.15);
@@ -753,7 +685,7 @@ mod tests {
     fn unknown_jobs_stay_uncapped_under_class_aware() {
         let s = Scheduler::new(4, 10_000.0);
         let queue = vec![job(1, WorkloadClass::Unknown, 1, 100.0)];
-        let out = s.run(&queue, Policy::ClassAware);
+        let out = s.run_with(&queue, &ClassAware);
         assert!((out.peak_power_w - 766.0).abs() < 1e-6, "{}", out.peak_power_w);
     }
 
@@ -763,7 +695,7 @@ mod tests {
         let queue: Vec<BatchJob> = (0..3)
             .map(|i| job(i, WorkloadClass::Light, 2, 100.0))
             .collect();
-        let out = s.run(&queue, Policy::Uncapped);
+        let out = s.run_with(&queue, &Uncapped);
         // Three 2-node jobs on 2 nodes: strictly sequential.
         assert!(out.makespan_s >= 300.0 - 1e-6);
     }
@@ -774,14 +706,14 @@ mod tests {
         let queue: Vec<BatchJob> = (0..5)
             .map(|i| job(i, WorkloadClass::PowerHungry, 1, 400.0))
             .collect();
-        assert_eq!(s.run(&queue, Policy::ClassAware), s.run(&queue, Policy::ClassAware));
+        assert_eq!(s.run_with(&queue, &ClassAware), s.run_with(&queue, &ClassAware));
     }
 
     #[test]
     #[should_panic(expected = "exceeds the power budget")]
     fn impossible_job_panics() {
         let s = Scheduler::new(4, 1000.0);
-        let _ = s.run(&[job(1, WorkloadClass::PowerHungry, 4, 100.0)], Policy::Uncapped);
+        let _ = s.run_with(&[job(1, WorkloadClass::PowerHungry, 4, 100.0)], &Uncapped);
     }
 
     #[test]
@@ -790,7 +722,7 @@ mod tests {
         let mut late = job(2, WorkloadClass::Light, 1, 100.0);
         late.arrival_s = 500.0;
         let queue = vec![job(1, WorkloadClass::Light, 1, 100.0), late];
-        let out = s.run(&queue, Policy::Uncapped);
+        let out = s.run_with(&queue, &Uncapped);
         let span_of = |id: u64| {
             out.job_spans
                 .iter()
@@ -814,7 +746,7 @@ mod tests {
                 j
             })
             .collect();
-        let out = s.run(&queue, Policy::ClassAware);
+        let out = s.run_with(&queue, &ClassAware);
         assert_eq!(out.job_spans.len(), 6);
         assert!(out.peak_power_w <= 4000.0 + 1e-6);
     }
@@ -822,7 +754,7 @@ mod tests {
     #[test]
     fn throughput_metric() {
         let s = Scheduler::new(4, 1.0e6);
-        let out = s.run(&[job(1, WorkloadClass::Light, 1, 1800.0)], Policy::Uncapped);
+        let out = s.run_with(&[job(1, WorkloadClass::Light, 1, 1800.0)], &Uncapped);
         assert!((out.throughput_per_hour() - 2.0).abs() < 1e-9);
     }
 }

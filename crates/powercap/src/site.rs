@@ -330,7 +330,8 @@ mod tests {
         b.release(3000.0);
         b.commit(2000.0);
         assert!((b.peak_w() - 4500.0).abs() < 1e-9, "peak is the high-water mark");
-        assert!((b.view().free_w() - 1500.0).abs() < 1e-9);
+        let view = b.view();
+        assert!((view.budget_w - view.committed_w - 1500.0).abs() < 1e-9);
     }
 
     #[test]

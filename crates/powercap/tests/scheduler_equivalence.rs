@@ -5,10 +5,12 @@
 //! approximation: admission stays quantised to cycle boundaries and the
 //! power sums reuse the polling loop's left-to-right arithmetic, so the
 //! whole `ScheduleOutcome` — admission order, spans, peak power and the
-//! power-time integral — must compare equal with `==`.
+//! power-time integral — must compare equal with `==`. Every shipped
+//! policy is drawn, `TcoAware` with random tariffs.
 
+use vpp_powercap::policy::{ClassAware, FixedCap, SweetSpot, Uncapped};
 use vpp_powercap::scheduler::reference::run_polling;
-use vpp_powercap::{BatchJob, CapResponse, Policy, Scheduler, WorkloadClass};
+use vpp_powercap::{BatchJob, CapPolicy, CapResponse, Scheduler, TcoAware, TcoPrices, WorkloadClass};
 use vpp_substrate::prop::usize_in;
 use vpp_substrate::properties;
 use vpp_substrate::Rng;
@@ -28,6 +30,21 @@ fn random_response(rng: &mut Rng) -> CapResponse {
         power += rng.uniform(10.0, 400.0);
     }
     CapResponse::new(points)
+}
+
+fn random_policy(rng: &mut Rng) -> Box<dyn CapPolicy> {
+    match rng.index(5) {
+        0 => Box::new(Uncapped),
+        1 => Box::new(FixedCap(rng.uniform(90.0, 400.0))),
+        2 => Box::new(ClassAware),
+        3 => Box::new(SweetSpot),
+        _ => Box::new(TcoAware {
+            prices: TcoPrices {
+                energy_usd_per_kwh: rng.uniform(0.0, 0.5),
+                node_hour_usd: rng.uniform(0.0, 5.0),
+            },
+        }),
+    }
 }
 
 fn random_queue(rng: &mut Rng, total_nodes: usize) -> Vec<BatchJob> {
@@ -72,15 +89,10 @@ properties! {
             .max(1.0);
         let mut sched = Scheduler::new(total_nodes, max_single * rng.uniform(1.0, 3.0));
         sched.cycle_s = rng.uniform(5.0, 60.0);
-        let policy = match rng.index(4) {
-            0 => Policy::Uncapped,
-            1 => Policy::FixedCap(rng.uniform(90.0, 400.0)),
-            2 => Policy::ClassAware,
-            _ => Policy::SweetSpot,
-        };
-        let fast = sched.run(&queue, policy);
-        let slow = run_polling(&sched, &queue, policy);
-        assert_eq!(fast, slow, "{policy:?} diverged on {} jobs", queue.len());
+        let policy = random_policy(rng);
+        let fast = sched.run_with(&queue, policy.as_ref());
+        let slow = run_polling(&sched, &queue, policy.as_ref());
+        assert_eq!(fast, slow, "{} diverged on {} jobs", policy.name(), queue.len());
         assert_eq!(fast.job_spans.len(), queue.len(), "every job must finish");
     }
 }

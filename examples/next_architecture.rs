@@ -17,13 +17,13 @@ fn device(spec: A100Spec) -> Gpu {
     Gpu::new(spec, ThrottleCalib::calibrated(), GpuVariability::nominal())
 }
 
-fn deepest_cap_within(gpu_spec: A100Spec, kernel: &Kernel, max_loss: f64) -> f64 {
+fn deepest_cap_within(gpu_spec: A100Spec, kernel: &Kernel, loss_budget: f64) -> f64 {
     let mut best = gpu_spec.max_cap_w;
     let mut cap = gpu_spec.max_cap_w;
     while cap >= gpu_spec.min_cap_w {
         let mut gpu = device(gpu_spec);
         gpu.set_power_limit(cap);
-        if gpu.execute(kernel).perf >= 1.0 - max_loss {
+        if gpu.execute(kernel).perf >= 1.0 - loss_budget {
             best = cap;
         }
         cap -= 10.0;

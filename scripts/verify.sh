@@ -17,6 +17,9 @@ cargo clippy --all-targets --offline --workspace -- -D warnings
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> powercap docs gate (rustdoc warnings, dangling intra-doc links, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p vpp-powercap
+
 echo "==> fault-injection smoke (examples/dirty_telemetry)"
 cargo run -q --release --offline --example dirty_telemetry
 
@@ -91,6 +94,22 @@ grep -q '^tco_aware' /tmp/vpp_campaign_site.out || {
     echo "verify: FAIL — --policy tco did not add the tco_aware row" >&2
     exit 1
 }
+
+echo "==> infeasible site-budget smoke: a budget no job fits is a usage error (exit 2), not a panic"
+set +e
+cargo run -q --release --offline --bin vpp -- campaign \
+    --jobs 200 --partitions 4 --site-budget 500 \
+    > /tmp/vpp_campaign_infeasible.out 2> /tmp/vpp_campaign_infeasible.err
+INFEASIBLE_EXIT=$?
+set -e
+[ "$INFEASIBLE_EXIT" -eq 2 ] || {
+    echo "verify: FAIL — infeasible --site-budget exited $INFEASIBLE_EXIT, want 2" >&2
+    exit 1
+}
+if grep -q 'panicked' /tmp/vpp_campaign_infeasible.err; then
+    echo "verify: FAIL — infeasible --site-budget panicked" >&2
+    exit 1
+fi
 
 echo "==> trace diff smoke: campaign re-run must match its blessed baseline"
 VPP_BENCH_OUT="$ROOT/BENCH_results.json" \

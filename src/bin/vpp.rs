@@ -69,7 +69,7 @@ use vasp_power_profiles::cluster::{execute, JobSpec, NetworkModel, Straggler};
 use vasp_power_profiles::core::{benchmarks, flight, protocol, ProtocolJobHandler};
 use vasp_power_profiles::dft::{parse_incar, parse_kpoints, parse_poscar, PhaseKind};
 use vasp_power_profiles::powercap::policy::FixedCap;
-use vasp_power_profiles::powercap::{campaign, CampaignSpec, CapPolicy, TcoAware};
+use vasp_power_profiles::powercap::{campaign, CampaignSpec, CapPolicy, SiteBudget, TcoAware};
 use vasp_power_profiles::stats::{trace_diff, DiffConfig, Segmenter};
 use vasp_power_profiles::substrate::bench::{load_baseline, store_baseline};
 use vasp_power_profiles::substrate::serve::{self, RunState, ServeConfig, ServeHandle};
@@ -816,6 +816,9 @@ fn cmd_campaign(p: &Parsed) -> Result<(), String> {
             other => return Err(format!("unknown --policy '{other}'; known: tco")),
         }
     }
+    if let Some(budget) = spec.site_budget_w {
+        check_site_feasible(&spec, budget, &policies)?;
+    }
     println!(
         "campaign : {} jobs, seed {}, {} partitions x {} nodes ({:.0} kW each), {} shard(s)",
         spec.jobs,
@@ -881,6 +884,33 @@ fn cmd_campaign(p: &Parsed) -> Result<(), String> {
         policies.len(),
         t0.elapsed().as_secs_f64()
     );
+    Ok(())
+}
+
+/// Refuse a site budget some job could never start under: the coupled
+/// engine would otherwise stall with that job pending. The check is per
+/// policy, at the demand the policy picks on an idle site, because a job
+/// that fits at its cheapest cap can still overflow the budget uncapped.
+fn check_site_feasible(
+    spec: &CampaignSpec,
+    budget_w: f64,
+    policies: &[(String, &dyn CapPolicy)],
+) -> Result<(), String> {
+    let sched = spec.scheduler();
+    let idle = SiteBudget::new(budget_w).view();
+    let jobs = spec.generate();
+    for (name, policy) in policies {
+        for job in &jobs {
+            let (_, power_w) = sched.job_demand_with(job, *policy, &idle);
+            if power_w > budget_w {
+                return Err(format!(
+                    "--site-budget {budget_w} W is infeasible: job {} ({}) draws {power_w:.0} W \
+                     under policy {name}, so it could never start",
+                    job.id, job.name
+                ));
+            }
+        }
+    }
     Ok(())
 }
 

@@ -309,3 +309,42 @@ fn trace_diff_without_a_stored_baseline_fails_with_guidance() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("cannot read"), "{err}");
 }
+
+/// `vpp campaign --site-budget B` on the 200-job, 4-partition campaign.
+fn infeasible_site_campaign(budget_w: &str) -> (Option<i32>, String) {
+    let out = vpp()
+        .args(["campaign", "--jobs", "200", "--partitions", "4", "--site-budget", budget_w])
+        .output()
+        .expect("vpp runs");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn campaign_rejects_a_site_budget_below_every_job() {
+    let (code, err) = infeasible_site_campaign("500");
+    assert_eq!(code, Some(2), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(err.contains("infeasible") && err.contains("job "), "{err}");
+    assert!(err.contains("under policy uncapped"), "{err}");
+}
+
+#[test]
+fn campaign_rejects_a_site_budget_only_the_uncapped_demand_overflows() {
+    use vasp_power_profiles::powercap::CampaignSpec;
+    // At 30 kW every job fits at its cheapest cap, so a cheapest-point
+    // check would pass, yet some job's uncapped demand overflows: the
+    // check must be per policy.
+    let spec = CampaignSpec {
+        partitions: 4,
+        ..CampaignSpec::new(200, 7)
+    };
+    let jobs = spec.generate();
+    let nodes = |j: &vasp_power_profiles::powercap::BatchJob| j.nodes as f64;
+    assert!(jobs.iter().all(|j| j.response.points()[0].2 * nodes(j) <= 30_000.0));
+    assert!(jobs.iter().any(|j| j.response.uncapped().1 * nodes(j) > 30_000.0));
+
+    let (code, err) = infeasible_site_campaign("30000");
+    assert_eq!(code, Some(2), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(err.contains("under policy uncapped"), "{err}");
+}
