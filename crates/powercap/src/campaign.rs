@@ -10,14 +10,17 @@
 //! * [`CampaignSpec`] — a seeded generator of heterogeneous [`BatchJob`]s
 //!   (mixed methods → workload classes, sizes, KPAR, jittered cap-response
 //!   curves, bursty arrivals), routed round-robin over machine partitions.
-//! * [`run`] — the campaign simulator behind any [`CapPolicy`]. With no
-//!   site budget, partitions are independent event-driven DES runs
-//!   ([`Scheduler::run_with`]) fanned out over the `vpp_substrate` pool in
-//!   shards and merged deterministically; the `policy_golden` suite
-//!   freezes this path's outcomes by digest. With `site_budget_w` set, the
-//!   partitions couple through a [`crate::site::SiteBudget`] ledger and
-//!   run as one global-backfill event loop ([`crate::site::run_site`]).
-//!   Either way the merged [`ScheduleOutcome`] is byte-identical for any
+//! * [`run`] — the campaign simulator behind any [`CapPolicy`], on the
+//!   crate's one event loop ([`crate::site`]). With no site budget, each
+//!   partition runs that loop alone under an unbounded ledger (the
+//!   [`Scheduler::run_with`] case), fanned out over the `vpp_substrate`
+//!   pool in shards and merged deterministically; the `policy_golden`
+//!   suite freezes this path's outcomes by digest. With `site_budget_w`
+//!   set, the partitions couple through one [`crate::site::SiteBudget`]
+//!   ledger and run as one global-backfill loop
+//!   ([`crate::site::run_site`]); the `site_golden` suite freezes that
+//!   path. Either way the summary reads the per-job demand the engine
+//!   ran, and the merged [`ScheduleOutcome`] is byte-identical for any
 //!   `shards >= 1` (the campaign determinism tests pin both paths).
 //! * [`CampaignOutcome`] — campaign-level outputs: merged spans, exact
 //!   system peak power, throughput, energy-to-solution, the Wattlytics
@@ -28,9 +31,9 @@
 //!   campaign`, and the `repro campaign_contention` section
 //!   ([`contention_report`]).
 
-use crate::policy::{CapPolicy, ClassAware, SiteView, SweetSpot, TcoAware, TcoPrices, Uncapped};
+use crate::policy::{CapPolicy, ClassAware, SweetSpot, TcoAware, TcoPrices, Uncapped};
 use crate::scheduler::{BatchJob, CapResponse, ScheduleOutcome, Scheduler, WorkloadClass};
-use crate::site;
+use crate::site::{self, SiteBudget, SiteRun};
 use std::collections::BTreeMap;
 use std::fmt;
 use vpp_stats::ViolinStats;
@@ -287,10 +290,11 @@ impl CampaignOutcome {
 /// Run the campaign under `policy` with `shards` parallel work units.
 ///
 /// Without a site budget, jobs run on their home partition
-/// (`id % partitions`) and each partition is an independent
-/// [`Scheduler::run_with`] DES; shards group partitions into contiguous
-/// chunks executed over the substrate pool. With `site_budget_w` set the
-/// partitions share one watts ledger and the campaign runs as a single
+/// (`id % partitions`) and each partition is an independent one-partition
+/// run of the event loop, as in [`Scheduler::run_with`]; shards group
+/// partitions into contiguous chunks executed over the substrate pool.
+/// With `site_budget_w` set the partitions share one watts ledger and
+/// the campaign runs as a single
 /// global-backfill event loop ([`crate::site::run_site`]). In both modes
 /// the shard count affects wall-clock only, never the outcome: the
 /// independent path merges by `(start, id)`, the coupled path is a pure
@@ -312,12 +316,19 @@ pub fn run(spec: &CampaignSpec, policy: &dyn CapPolicy, shards: usize) -> Campai
         return summarise(spec, &jobs, &sr.demand, std::slice::from_ref(&sr.outcome), sr.backfilled);
     }
 
-    let outcomes = run_partitioned(spec, &sched, policy, route(spec, &jobs), shards);
-    let slack = SiteView::slack();
+    let runs = run_partitioned(spec, &sched, policy, route(spec, &jobs), shards);
+    // Gather each partition's demand back into id order, walking the
+    // partitions' queues in the order `route` filled them.
+    let mut next = vec![0usize; runs.len()];
     let demand: Vec<(f64, f64)> = jobs
         .iter()
-        .map(|j| sched.job_demand_with(j, policy, &slack))
+        .map(|j| {
+            let p = (j.id % spec.partitions as u64) as usize;
+            next[p] += 1;
+            runs[p].demand[next[p] - 1]
+        })
         .collect();
+    let outcomes: Vec<ScheduleOutcome> = runs.into_iter().map(|r| r.outcome).collect();
     summarise(spec, &jobs, &demand, &outcomes, 0)
 }
 
@@ -339,7 +350,7 @@ fn run_partitioned(
     policy: &dyn CapPolicy,
     queues: Vec<Vec<BatchJob>>,
     shards: usize,
-) -> Vec<ScheduleOutcome> {
+) -> Vec<SiteRun> {
     let chunk = spec.partitions.div_ceil(shards);
     let chunks: Vec<Vec<(usize, Vec<BatchJob>)>> = queues
         .into_iter()
@@ -357,7 +368,7 @@ fn run_partitioned(
                     partition = p as u64,
                     jobs = queue.len() as u64
                 );
-                sched.run_with(&queue, policy)
+                site::simulate(sched, 1, SiteBudget::unbounded(), &queue, policy)
             })
             .collect::<Vec<_>>()
     })

@@ -12,14 +12,18 @@
 //!   §VI: classify jobs by workload type, cap VASP-like jobs at 50 % TDP
 //!   (which costs <10 % performance), and reallocate the spared power to
 //!   admit more jobs under a fixed system power budget, deciding within
-//!   30-second scheduling cycles. Event-driven on the calendar queue.
-//! * [`policy`] — the [`CapPolicy`] trait every engine schedules through:
+//!   30-second scheduling cycles. It holds the job model and a
+//!   partition's shape; [`Scheduler::run_with`] runs on the event loop in
+//!   [`site`].
+//! * [`policy`] — the [`CapPolicy`] trait the engine schedules through:
 //!   the baseline, fixed-cap, class-aware and sweet-spot policies plus the
-//!   TCO-priced [`TcoAware`], all able to observe the shared site ledger
-//!   at decision time.
-//! * [`site`] — the site-coupled engine: a [`SiteBudget`] ledger of
-//!   committed watts across partitions and a single global-backfill DES
-//!   ([`site::run_site`]) for campaigns under one site-wide envelope.
+//!   TCO-priced [`TcoAware`], each asked once per job against the empty
+//!   site ledger.
+//! * [`site`] — the crate's one scheduling event loop, event-driven on
+//!   the calendar queue: a [`SiteBudget`] ledger of committed watts across
+//!   partitions, global backfill ([`site::run_site`]) for campaigns under
+//!   one site-wide envelope, and the one-partition case behind
+//!   [`Scheduler::run_with`].
 //! * [`campaign`] — datacenter-scale what-if campaigns: thousands of
 //!   seeded heterogeneous jobs over partitioned machines, shard-parallel
 //!   DES with deterministic merging, compared across cap policies.

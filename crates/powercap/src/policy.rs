@@ -1,11 +1,11 @@
 //! The policy surface of the campaign scheduler.
 //!
 //! A policy is any [`CapPolicy`] object that, given a job and a
-//! [`SiteView`] of the shared site ledger (committed watts across every
-//! partition, maintained by the DES at job start/finish events), decides
-//! the GPU cap the job runs under. Every engine — the per-partition
-//! [`crate::scheduler::Scheduler`], the coupled [`crate::site::run_site`]
-//! and the campaign runner — schedules through this one trait.
+//! [`SiteView`] of the site ledger the scheduler starts from (its cap),
+//! decides the GPU cap the job runs under. Every
+//! entry point — [`crate::scheduler::Scheduler::run_with`],
+//! [`crate::site::run_site`] and the campaign runner — schedules through
+//! this one trait and the one event loop in [`crate::site`].
 //!
 //! [`Uncapped`], [`FixedCap`], [`ClassAware`] and [`SweetSpot`] are the
 //! paper's baseline, fixed-cap and §VI policies plus Afzal et al.'s
@@ -16,27 +16,25 @@
 
 use crate::scheduler::BatchJob;
 
-/// A policy's read-only view of the shared site ledger at decision time.
+/// A read-only snapshot of a site ledger: its cap.
 ///
-/// The DES updates the backing [`crate::site::SiteBudget`] at every job
-/// start (commit) and finish (release); policies see the committed load
-/// and the site cap, never the mutable ledger itself.
+/// The scheduler shows policies the view of its
+/// [`crate::site::SiteBudget`] before any job starts, so nothing is
+/// committed yet and the cap is all there is to see; policies never see
+/// the mutable ledger itself.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiteView {
     /// Site-wide power cap, watts (`f64::INFINITY` = unbounded).
     pub budget_w: f64,
-    /// Watts currently committed to running jobs across all partitions.
-    pub committed_w: f64,
 }
 
 impl SiteView {
-    /// The slack view: no site cap, nothing committed. This is what
-    /// per-partition scheduling (no `--site-budget`) presents.
+    /// The slack view: no site cap. This is what per-partition
+    /// scheduling (no `--site-budget`) presents.
     #[must_use]
     pub fn slack() -> Self {
         Self {
             budget_w: f64::INFINITY,
-            committed_w: 0.0,
         }
     }
 }
@@ -48,11 +46,12 @@ impl SiteView {
 /// * `cap_for` returns `Some(cap_w)` to run the job capped, `None` to run
 ///   it at the top of its own measured support
 ///   ([`crate::scheduler::CapResponse::uncapped`]).
-/// * The DES calls `cap_for` at *admission attempts*, with the live
-///   [`SiteView`]; a job skipped this wake is re-asked later, so a
-///   site-observing policy may answer differently as load moves. Given
-///   equal inputs the answer must be equal — policies are pure functions
-///   of `(job, site)`, which is what keeps campaigns byte-deterministic
+/// * The scheduler asks *once per job, against the empty ledger*: before
+///   its event loop starts, with the ledger's initial [`SiteView`] (the
+///   site cap; [`SiteView::slack`] when unbounded).
+///   The answer holds for the job's whole stay in the queue. Given equal
+///   inputs the answer must be equal — policies are pure functions of
+///   `(job, site)`, which is what keeps campaigns byte-deterministic
 ///   across shard counts and repeated runs.
 /// * Implementations must be `Sync`: partitions fan out over the
 ///   substrate pool and share one policy object.

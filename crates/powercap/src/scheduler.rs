@@ -8,19 +8,17 @@
 //!
 //! ## Simulation engine
 //!
-//! [`Scheduler::run_with`] is event-driven: job finishes live in a
-//! [`vpp_sim::EventQueue`] and the full admission pass (retire finished
-//! jobs, re-derive free nodes/power, scan the FIFO queue) runs only at
-//! wakes where the admission state can actually change — a finish is due
-//! or a queued job's arrival has passed. Cycle boundaries in between cost
-//! O(1): the held system power is integrated over the interval and the
-//! clock steps on. Admission itself stays quantised to the paper's cycle
-//! boundaries, so the event-driven engine reproduces the superseded
-//! polling loop *exactly* — [`reference::run_polling`] is retained and the
-//! `scheduler_equivalence` property suite demands `ScheduleOutcome`
-//! equality (spans, peak, integral) between the two on random queues.
+//! This module holds the job model ([`BatchJob`], [`CapResponse`],
+//! [`WorkloadClass`]) and a partition's shape and demand rule
+//! ([`Scheduler::job_demand_with`]). It has no event loop of its own:
+//! [`Scheduler::run_with`] is the one-partition case of the site engine
+//! in [`crate::site`], under an unbounded [`SiteBudget`]. The
+//! `scheduler_equivalence` property suite diffs it against the superseded
+//! fixed-cycle polling engine, kept as a test-side oracle, and demands
+//! `ScheduleOutcome` equality (spans, peak, integral) on random queues.
 
 use crate::policy::{CapPolicy, SiteView};
+use crate::site::SiteBudget;
 
 /// Workload classes the scheduler can recognise from job inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -238,266 +236,15 @@ impl Scheduler {
         (job.base_runtime_s / perf, power)
     }
 
-    /// Simulate the queue under `policy`, event-driven. Caps are decided
-    /// up front under the slack [`SiteView`] — a single partition has no
-    /// site ledger; the coupled engine lives in [`crate::site::run_site`].
-    ///
-    /// Observationally identical to [`reference::run_polling`]; the full
-    /// admission pass runs only at wakes where a finish is due or an
-    /// arrival has passed, every other cycle boundary is O(1).
+    /// Simulate the queue under `policy`: the crate's one event loop
+    /// ([`crate::site`]) over a single partition with an unbounded ledger,
+    /// so every job runs here and only this partition's budget binds.
     ///
     /// # Panics
     /// As [`Scheduler::job_demand_with`], for any job in the queue.
     #[must_use]
     pub fn run_with(&self, queue: &[BatchJob], policy: &dyn CapPolicy) -> ScheduleOutcome {
-        let site = SiteView::slack();
-        let demands: Vec<(f64, f64)> = queue
-            .iter()
-            .map(|j| self.job_demand_with(j, policy, &site))
-            .collect();
-
-        // Arrival order: indices by (arrival, submission order). A cursor
-        // walks it forward as arrivals pass, giving O(1) access to the
-        // next arrival that could change the admission state.
-        let mut arrival_order: Vec<usize> = (0..queue.len()).collect();
-        arrival_order.sort_by(|&a, &b| queue[a].arrival_s.total_cmp(&queue[b].arrival_s));
-        let mut cursor = 0usize;
-
-        let mut pending: Vec<usize> = (0..queue.len()).collect();
-        let mut running: Vec<Running> = Vec::new();
-        let mut finishes: vpp_sim::EventQueue<u64> = vpp_sim::EventQueue::new();
-        let mut spans: Vec<(u64, f64, f64)> = Vec::new();
-        let mut t = 0.0;
-        let mut peak = 0.0f64;
-        let mut power_time_integral = 0.0;
-        let mut last_t = 0.0;
-        // System power, re-derived only at admission wakes; between them
-        // the running set is constant, so the cached value stays exact.
-        let mut used_power = 0.0f64;
-        let mut admit = true; // t = 0 is always an admission wake
-
-        loop {
-            if admit {
-                // Retire due finishes (the queue delivers them in time
-                // order; the running list keeps span bookkeeping).
-                while finishes.next_before(t + 1e-9).is_some() {}
-                running.retain(|r| {
-                    if r.finish <= t + 1e-9 {
-                        spans.push((r.id, r.start, r.finish));
-                        false
-                    } else {
-                        true
-                    }
-                });
-
-                // Re-derive free capacity by the same left-to-right sums
-                // the polling loop used, keeping the arithmetic — and so
-                // every boundary-case admission decision — bit-identical.
-                let mut used_nodes: usize = running.iter().map(|r| r.nodes).sum();
-                used_power = running.iter().map(|r| r.power_w).sum();
-
-                // FIFO admission with backfill: start every *arrived*
-                // queued job that fits in free nodes and free power.
-                pending.retain(|&qi| {
-                    let job = &queue[qi];
-                    let (runtime, power) = demands[qi];
-                    if job.arrival_s <= t + 1e-9
-                        && used_nodes + job.nodes <= self.total_nodes
-                        && used_power + power <= self.power_budget_w + 1e-9
-                    {
-                        used_nodes += job.nodes;
-                        used_power += power;
-                        finishes.schedule(t + runtime, job.id);
-                        running.push(Running {
-                            id: job.id,
-                            start: t,
-                            finish: t + runtime,
-                            nodes: job.nodes,
-                            power_w: power,
-                        });
-                        false
-                    } else {
-                        true
-                    }
-                });
-
-                // Arrivals at or before this wake have been offered
-                // admission; only later ones can change the state.
-                while cursor < arrival_order.len()
-                    && queue[arrival_order[cursor]].arrival_s <= t + 1e-9
-                {
-                    cursor += 1;
-                }
-            }
-
-            peak = peak.max(used_power);
-            power_time_integral += used_power * (t - last_t).max(0.0);
-            last_t = t;
-
-            if pending.is_empty() && running.is_empty() {
-                break;
-            }
-
-            // Advance: next cycle boundary, next finish, or — when idle —
-            // the next arrival, whichever comes first.
-            let next_finish = finishes.earliest_time().unwrap_or(f64::INFINITY);
-            let next_arrival = if cursor < arrival_order.len() {
-                queue[arrival_order[cursor]].arrival_s
-            } else {
-                f64::INFINITY
-            };
-            let mut next = t + self.cycle_s;
-            if next_finish < next {
-                next = next_finish;
-            }
-            if running.is_empty() && next_arrival > next {
-                next = next_arrival;
-            }
-            t = next;
-            assert!(t.is_finite(), "scheduler stalled: no running jobs advance");
-            admit = next_finish <= t + 1e-9 || next_arrival <= t + 1e-9;
-        }
-
-        finalise(spans, peak, power_time_integral)
-    }
-}
-
-struct Running {
-    id: u64,
-    start: f64,
-    finish: f64,
-    nodes: usize,
-    power_w: f64,
-}
-
-/// Sort spans, derive the makespan and assemble the outcome — shared by
-/// the event-driven engine, the polling reference and the site-coupled
-/// engine ([`crate::site`]) so the summary arithmetic cannot drift
-/// between them.
-pub(crate) fn finalise(
-    mut spans: Vec<(u64, f64, f64)>,
-    peak: f64,
-    power_time_integral: f64,
-) -> ScheduleOutcome {
-    spans.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    let makespan = spans.iter().map(|s| s.2).fold(0.0, f64::max);
-    ScheduleOutcome {
-        makespan_s: makespan,
-        mean_power_w: if makespan > 0.0 {
-            power_time_integral / makespan
-        } else {
-            0.0
-        },
-        peak_power_w: peak,
-        job_spans: spans,
-    }
-}
-
-pub mod reference {
-    //! The superseded fixed-cycle polling engine, kept as the semantic
-    //! reference for [`Scheduler::run_with`]: the `scheduler_equivalence`
-    //! property suite runs both on random queues and demands identical
-    //! [`ScheduleOutcome`]s — admission order, spans, peak and integral.
-
-    use super::{finalise, BatchJob, Running, ScheduleOutcome, Scheduler};
-    use crate::policy::{CapPolicy, SiteView};
-
-    /// Simulate the queue under `policy` with the original polling loop:
-    /// every wake rescans `running` and `pending` in full.
-    ///
-    /// # Panics
-    /// As [`Scheduler::job_demand_with`], for any job in the queue.
-    #[must_use]
-    pub fn run_polling(
-        sched: &Scheduler,
-        queue: &[BatchJob],
-        policy: &dyn CapPolicy,
-    ) -> ScheduleOutcome {
-        let site = SiteView::slack();
-        let demands: Vec<(f64, f64)> = queue
-            .iter()
-            .map(|j| sched.job_demand_with(j, policy, &site))
-            .collect();
-
-        let mut pending: Vec<usize> = (0..queue.len()).collect();
-        let mut running: Vec<Running> = Vec::new();
-        let mut spans: Vec<(u64, f64, f64)> = Vec::new();
-        let mut t = 0.0;
-        let mut peak = 0.0f64;
-        let mut power_time_integral = 0.0;
-        let mut last_t = 0.0;
-
-        while !pending.is_empty() || !running.is_empty() {
-            // Retire finished jobs.
-            running.retain(|r| {
-                if r.finish <= t + 1e-9 {
-                    spans.push((r.id, r.start, r.finish));
-                    false
-                } else {
-                    true
-                }
-            });
-
-            // FIFO admission with backfill: start every *arrived* queued
-            // job that fits in free nodes and free power this cycle.
-            let mut used_nodes: usize = running.iter().map(|r| r.nodes).sum();
-            let mut used_power: f64 = running.iter().map(|r| r.power_w).sum();
-            pending.retain(|&qi| {
-                let job = &queue[qi];
-                let (runtime, power) = demands[qi];
-                if job.arrival_s <= t + 1e-9
-                    && used_nodes + job.nodes <= sched.total_nodes
-                    && used_power + power <= sched.power_budget_w + 1e-9
-                {
-                    used_nodes += job.nodes;
-                    used_power += power;
-                    running.push(Running {
-                        id: job.id,
-                        start: t,
-                        finish: t + runtime,
-                        nodes: job.nodes,
-                        power_w: power,
-                    });
-                    false
-                } else {
-                    true
-                }
-            });
-
-            peak = peak.max(used_power);
-            power_time_integral += used_power * (t - last_t).max(0.0);
-            last_t = t;
-
-            if pending.is_empty() && running.is_empty() {
-                break;
-            }
-
-            // Advance: next cycle boundary, next finish, or — when idle —
-            // the next arrival, whichever comes first.
-            let next_finish = running
-                .iter()
-                .map(|r| r.finish)
-                .fold(f64::INFINITY, f64::min);
-            let next_arrival = pending
-                .iter()
-                .map(|&qi| queue[qi].arrival_s)
-                .fold(f64::INFINITY, f64::min);
-            let mut next = t + sched.cycle_s;
-            if next_finish < next {
-                next = next_finish;
-            }
-            if running.is_empty() && next_arrival > next {
-                next = next_arrival;
-            }
-            t = next;
-            assert!(t.is_finite(), "scheduler stalled: no running jobs advance");
-        }
-
-        // Account for the last stretch.
-        power_time_integral +=
-            running.iter().map(|r| r.power_w).sum::<f64>() * (t - last_t).max(0.0);
-
-        finalise(spans, peak, power_time_integral)
+        crate::site::simulate(self, 1, SiteBudget::unbounded(), queue, policy).outcome
     }
 }
 
@@ -593,27 +340,6 @@ mod tests {
         let base_energy = base.mean_power_w * base.makespan_s;
         let sweet_energy = sweet.mean_power_w * sweet.makespan_s;
         assert!(sweet_energy < base_energy, "{sweet_energy} !< {base_energy}");
-    }
-
-    #[test]
-    fn event_driven_run_matches_polling_reference() {
-        let s = Scheduler::new(8, 4000.0);
-        let queue: Vec<BatchJob> = (0..6)
-            .map(|i| {
-                let mut j = job(i, WorkloadClass::PowerHungry, 1 + (i as usize % 2), 400.0);
-                j.arrival_s = i as f64 * 90.0;
-                j
-            })
-            .collect();
-        let policies: [&dyn CapPolicy; 4] = [&Uncapped, &FixedCap(200.0), &ClassAware, &SweetSpot];
-        for policy in policies {
-            assert_eq!(
-                s.run_with(&queue, policy),
-                reference::run_polling(&s, &queue, policy),
-                "{}",
-                policy.name()
-            );
-        }
     }
 
     #[test]

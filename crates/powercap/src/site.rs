@@ -1,42 +1,51 @@
-//! Site-level scheduling: one event loop over every partition, coupled
-//! through a shared watts ledger.
+//! The scheduling event loop: every partition, one shared watts ledger.
 //!
-//! Without a site budget the campaign's partitions are independent DES
-//! runs ([`crate::scheduler::Scheduler::run_with`]) — that is what makes
-//! shard-parallel simulation trivially deterministic. `--site-budget`
-//! breaks the independence on purpose: the whole machine shares one
-//! power envelope, so admitting a job on partition 3 can starve a job on
-//! partition 5. This module supplies the coupled engine:
+//! This module holds the crate's only admission engine, `simulate`: the
+//! §VI loop (retire due finishes, re-derive occupancy, offer every arrived
+//! pending job admission, step to the next cycle boundary, finish or
+//! arrival) over any number of partitions drawing on one [`SiteBudget`].
+//! The full admission pass runs only at wakes where a finish is due or an
+//! arrival has passed; cycle boundaries in between cost O(1). Two entry
+//! points share it:
 //!
-//! * [`SiteBudget`] — the ledger of committed watts across all
-//!   partitions. The DES commits at every job start and releases at every
-//!   finish; policies observe it through [`SiteView`] snapshots.
-//! * [`run_site`] — a single event-driven loop over all partitions with
-//!   *global backfill*: pending jobs are scanned in submission order, and
-//!   a job whose round-robin home partition is full may start on any
-//!   partition with free nodes, free partition watts and free *site*
-//!   watts (home first, then increasing partition index, wrapping).
+//! * [`run_site`] — every partition of a campaign under the spec's
+//!   ledger (`--site-budget`), with *global backfill*: pending jobs are
+//!   scanned in submission order, and a job whose round-robin home
+//!   partition is full may start on any partition with free nodes, free
+//!   partition watts and free *site* watts (home first, then increasing
+//!   partition index, wrapping).
+//! * [`Scheduler::run_with`] — one partition under
+//!   [`SiteBudget::unbounded`]: every job's home is that partition and the
+//!   ledger never refuses, so only the partition's nodes and watts bind.
+//!   Sharded campaigns run one such loop per partition on the pool, which
+//!   keeps shard-parallel simulation trivially deterministic.
 //!
-//! Because partitions are coupled, the engine is one serial event loop —
-//! the shard count cannot split it, and [`crate::campaign::run`] keeps
-//! the N-shard == 1-shard guarantee by construction: the outcome is a
-//! pure function of `(spec, policy)`. Within the loop every tie falls to
-//! the same `(start, id)` order the per-partition engine uses: finishes
-//! retire in time-then-id order before any admission, pending jobs are
-//! offered admission in id order, and spans finalise sorted by
-//! `(start, id)`.
+//! Each job's `(runtime, power)` is decided once, before the loop, by
+//! asking the policy against the empty ledger's [`SiteBudget::view`].
+//! At every admission wake the loop re-derives per-partition nodes and
+//! watts and the ledger's committed watts as left-to-right sums over the
+//! running jobs, then commits each admission; peak and power-time
+//! integral come from the ledger. With one partition that is exactly the
+//! arithmetic of the polling oracle the `scheduler_equivalence` suite
+//! compares against.
+//!
+//! Within the loop every tie falls to the `(start, id)` order: finishes
+//! retire before any admission, pending jobs are offered admission in id
+//! order, and spans finalise sorted by `(start, id)`. [`run_site`] is one
+//! serial loop the shard count cannot split, so [`crate::campaign::run`]
+//! keeps the N-shard == 1-shard guarantee by construction.
 
 use crate::campaign::CampaignSpec;
 use crate::policy::{CapPolicy, SiteView};
-use crate::scheduler::{finalise, BatchJob, ScheduleOutcome};
+use crate::scheduler::{BatchJob, ScheduleOutcome, Scheduler};
 use vpp_substrate::trace;
 
 /// The shared ledger of watts committed to running jobs site-wide.
 ///
-/// Maintained by [`run_site`] at job start (commit) and finish (release)
-/// events; the high-water mark is the exact campaign peak, and the
-/// commit-side assertion is what makes "peak never exceeds the site
-/// budget" a structural guarantee rather than a measured one.
+/// The engine rebuilds it at every admission wake from the running jobs
+/// and commits each admission; the high-water mark is the engine's peak,
+/// and the commit-side assertion is what makes "peak never exceeds the
+/// site budget" a structural guarantee rather than a measured one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SiteBudget {
     budget_w: f64,
@@ -83,7 +92,8 @@ impl SiteBudget {
         self.peak_w = self.peak_w.max(self.committed_w);
     }
 
-    /// Release `w` watts from a finishing job.
+    /// Release `w` watts; the committed total clamps at zero, so float
+    /// dust never goes negative.
     pub fn release(&mut self, w: f64) {
         self.committed_w = (self.committed_w - w).max(0.0);
     }
@@ -105,27 +115,36 @@ impl SiteBudget {
     pub fn view(&self) -> SiteView {
         SiteView {
             budget_w: self.budget_w,
-            committed_w: self.committed_w,
         }
     }
 }
 
-/// What the coupled engine hands back to the campaign layer.
+/// What the scheduling engine hands back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SiteRun {
-    /// Spans, peak and power-time integral over the whole site,
-    /// finalised exactly like a per-partition outcome.
+    /// Spans, peak and power-time integral over the whole site.
     pub outcome: ScheduleOutcome,
-    /// Per-job `(runtime_s, power_w)` as decided at admission time
-    /// (indexed by job id; ids are dense `0..jobs`).
+    /// Per-job `(runtime_s, power_w)` as decided before the loop, indexed
+    /// like the `jobs` slice (by job id for a generated campaign).
     pub demand: Vec<(f64, f64)>,
-    /// Partition each job ran on (indexed by job id).
+    /// Partition each job ran on, indexed like `demand`.
     pub placement: Vec<usize>,
     /// Jobs that started away from their round-robin home partition.
     pub backfilled: usize,
 }
 
-struct SiteRunning {
+/// One job's admission facts, gathered before the loop: the pending scan
+/// is the hot path, and one compact record per job keeps it off the
+/// `BatchJob`s.
+struct Ask {
+    arrival_s: f64,
+    power_w: f64,
+    runtime_s: f64,
+    nodes: usize,
+    home: usize,
+}
+
+struct Running {
     id: u64,
     start: f64,
     finish: f64,
@@ -138,11 +157,8 @@ struct SiteRunning {
 ///
 /// Jobs keep their round-robin home (`id % partitions`) as the preferred
 /// host but may backfill onto any partition with free nodes, free
-/// partition watts and free site watts. Admission stays quantised to the
-/// scheduler's cycle and the engine wakes exactly like the per-partition
-/// DES: at cycle boundaries where a finish is due or an arrival has
-/// passed. Policies are re-consulted at every admission attempt with the
-/// live [`SiteView`].
+/// partition watts and free site watts. Emits the `site.backfilled`
+/// counter.
 ///
 /// # Panics
 /// If a job could never start (needs more nodes than a partition has,
@@ -150,28 +166,59 @@ struct SiteRunning {
 /// detects the stall rather than spinning.
 #[must_use]
 pub fn run_site(spec: &CampaignSpec, jobs: &[BatchJob], policy: &dyn CapPolicy) -> SiteRun {
-    let parts = spec.partitions;
-    assert!(parts > 0, "need at least one partition");
-    let sched = spec.scheduler();
-    let mut site = match spec.site_budget_w {
+    let ledger = match spec.site_budget_w {
         Some(b) => SiteBudget::new(b),
         None => SiteBudget::unbounded(),
     };
+    let run = simulate(&spec.scheduler(), spec.partitions, ledger, jobs, policy);
+    trace::counter("site.backfilled", run.backfilled as u64);
+    run
+}
 
-    let mut free_nodes = vec![spec.nodes_per_partition; parts];
-    let mut part_power = vec![0.0f64; parts];
-    let mut demand = vec![(f64::NAN, f64::NAN); jobs.len()];
+/// The scheduling event loop: `jobs` over `parts` partitions shaped like
+/// `sched` (nodes, watts and cycle per partition), all drawing on
+/// `ledger`. Admission stays quantised to the cycle, and the full pass
+/// runs only at wakes where a finish is due or an arrival has passed.
+///
+/// # Panics
+/// As [`Scheduler::job_demand_with`] for any job, if `parts == 0`, or if
+/// the pending jobs can never start.
+pub(crate) fn simulate(
+    sched: &Scheduler,
+    parts: usize,
+    mut ledger: SiteBudget,
+    jobs: &[BatchJob],
+    policy: &dyn CapPolicy,
+) -> SiteRun {
+    assert!(parts > 0, "need at least one partition");
+    let view = ledger.view();
+    let asks: Vec<Ask> = jobs
+        .iter()
+        .map(|j| {
+            let (runtime_s, power_w) = sched.job_demand_with(j, policy, &view);
+            Ask {
+                arrival_s: j.arrival_s,
+                power_w,
+                runtime_s,
+                nodes: j.nodes,
+                home: (j.id % parts as u64) as usize,
+            }
+        })
+        .collect();
     let mut placement = vec![usize::MAX; jobs.len()];
     let mut backfilled = 0usize;
+    let mut used_nodes = vec![0usize; parts];
+    let mut used_w = vec![0.0f64; parts];
 
-    // Arrival order: indices by (arrival, submission order), walked by a
-    // cursor as in the per-partition engine.
+    // Arrival order: indices by (arrival, submission order). A cursor
+    // walks it forward as arrivals pass, giving O(1) access to the next
+    // arrival that could change the admission state.
     let mut arrival_order: Vec<usize> = (0..jobs.len()).collect();
     arrival_order.sort_by(|&a, &b| jobs[a].arrival_s.total_cmp(&jobs[b].arrival_s));
     let mut cursor = 0usize;
 
     let mut pending: Vec<usize> = (0..jobs.len()).collect();
-    let mut running: Vec<SiteRunning> = Vec::new();
+    let mut running: Vec<Running> = Vec::new();
     let mut finishes: vpp_sim::EventQueue<u64> = vpp_sim::EventQueue::new();
     let mut spans: Vec<(u64, f64, f64)> = Vec::new();
     let mut t = 0.0;
@@ -181,78 +228,91 @@ pub fn run_site(spec: &CampaignSpec, jobs: &[BatchJob], policy: &dyn CapPolicy) 
 
     loop {
         if admit {
-            // Retire due finishes first — watts released here are
-            // available to every admission below, matching the
-            // retire-then-admit order of the per-partition wake.
+            // Retire due finishes (the queue delivers them in time
+            // order; the running list keeps span bookkeeping).
             while finishes.next_before(t + 1e-9).is_some() {}
             running.retain(|r| {
                 if r.finish <= t + 1e-9 {
                     spans.push((r.id, r.start, r.finish));
-                    free_nodes[r.partition] += r.nodes;
-                    part_power[r.partition] -= r.power_w;
-                    site.release(r.power_w);
                     false
                 } else {
                     true
                 }
             });
 
+            // Re-derive occupancy and the ledger as left-to-right sums
+            // over `running`, never by releasing at finishes: with one
+            // partition this is the polling oracle's arithmetic, so every
+            // boundary-case admission decision stays bit-identical.
+            used_nodes.fill(0);
+            used_w.fill(0.0);
+            ledger.release(ledger.committed_w());
+            for r in &running {
+                used_nodes[r.partition] += r.nodes;
+                used_w[r.partition] += r.power_w;
+                ledger.commit(r.power_w);
+            }
+
             // Global backfill in submission (id) order: each arrived job
             // is offered its home partition first, then the others in
             // increasing index, wrapping — the only deterministic order
             // consistent with `(start, id)` tie-breaking.
-            pending.retain(|&qi| {
-                let job = &jobs[qi];
-                if job.arrival_s > t + 1e-9 {
-                    return true;
-                }
-                let (runtime, power) = sched.job_demand_with(job, policy, &site.view());
-                if !site.fits(power) {
-                    return true;
-                }
-                let home = (job.id % parts as u64) as usize;
-                for k in 0..parts {
-                    let p = (home + k) % parts;
-                    if free_nodes[p] >= job.nodes
-                        && part_power[p] + power <= spec.partition_budget_w + 1e-9
-                    {
-                        free_nodes[p] -= job.nodes;
-                        part_power[p] += power;
-                        site.commit(power);
-                        demand[qi] = (runtime, power);
-                        placement[qi] = p;
-                        if p != home {
-                            backfilled += 1;
+            let mut kept = 0;
+            for i in 0..pending.len() {
+                let qi = pending[i];
+                let ask = &asks[qi];
+                let mut placed = false;
+                if ask.arrival_s <= t + 1e-9 && ledger.fits(ask.power_w) {
+                    let mut p = ask.home;
+                    for _ in 0..parts {
+                        if used_nodes[p] + ask.nodes <= sched.total_nodes
+                            && used_w[p] + ask.power_w <= sched.power_budget_w + 1e-9
+                        {
+                            used_nodes[p] += ask.nodes;
+                            used_w[p] += ask.power_w;
+                            ledger.commit(ask.power_w);
+                            placement[qi] = p;
+                            backfilled += usize::from(p != ask.home);
+                            let id = jobs[qi].id;
+                            finishes.schedule(t + ask.runtime_s, id);
+                            running.push(Running {
+                                id,
+                                start: t,
+                                finish: t + ask.runtime_s,
+                                nodes: ask.nodes,
+                                power_w: ask.power_w,
+                                partition: p,
+                            });
+                            placed = true;
+                            break;
                         }
-                        finishes.schedule(t + runtime, job.id);
-                        running.push(SiteRunning {
-                            id: job.id,
-                            start: t,
-                            finish: t + runtime,
-                            nodes: job.nodes,
-                            power_w: power,
-                            partition: p,
-                        });
-                        return false;
+                        p = if p + 1 == parts { 0 } else { p + 1 };
                     }
                 }
-                true
-            });
+                if !placed {
+                    pending[kept] = qi;
+                    kept += 1;
+                }
+            }
+            pending.truncate(kept);
 
-            while cursor < arrival_order.len()
-                && jobs[arrival_order[cursor]].arrival_s <= t + 1e-9
+            // Arrivals at or before this wake have been offered
+            // admission; only later ones can change the state.
+            while cursor < arrival_order.len() && jobs[arrival_order[cursor]].arrival_s <= t + 1e-9
             {
                 cursor += 1;
             }
         }
 
-        power_time_integral += site.committed_w() * (t - last_t).max(0.0);
+        power_time_integral += ledger.committed_w() * (t - last_t).max(0.0);
         last_t = t;
 
         if pending.is_empty() && running.is_empty() {
             break;
         }
 
+        // Advance: next cycle boundary, next finish, or — when idle —
+        // the next arrival, whichever comes first.
         let next_finish = finishes.earliest_time().unwrap_or(f64::INFINITY);
         let next_arrival = if cursor < arrival_order.len() {
             jobs[arrival_order[cursor]].arrival_s
@@ -260,8 +320,8 @@ pub fn run_site(spec: &CampaignSpec, jobs: &[BatchJob], policy: &dyn CapPolicy) 
             f64::INFINITY
         };
         assert!(
-            !(running.is_empty() && next_arrival.is_infinite() && !pending.is_empty()),
-            "site scheduler stalled: {} job(s) can never start under the \
+            !(running.is_empty() && next_arrival.is_infinite()),
+            "scheduler stalled: {} job(s) can never start under the \
              partition/site budgets",
             pending.len()
         );
@@ -273,16 +333,36 @@ pub fn run_site(spec: &CampaignSpec, jobs: &[BatchJob], policy: &dyn CapPolicy) 
             next = next_arrival;
         }
         t = next;
-        assert!(t.is_finite(), "site scheduler stalled: no running jobs advance");
+        assert!(t.is_finite(), "scheduler stalled: no running jobs advance");
         admit = next_finish <= t + 1e-9 || next_arrival <= t + 1e-9;
     }
 
-    trace::counter("site.backfilled", backfilled as u64);
     SiteRun {
-        outcome: finalise(spans, site.peak_w(), power_time_integral),
-        demand,
+        outcome: finalise(spans, ledger.peak_w(), power_time_integral),
+        demand: asks.iter().map(|a| (a.runtime_s, a.power_w)).collect(),
         placement,
         backfilled,
+    }
+}
+
+/// Sort spans by `(start, id)`, derive the makespan and assemble the
+/// outcome.
+fn finalise(
+    mut spans: Vec<(u64, f64, f64)>,
+    peak: f64,
+    power_time_integral: f64,
+) -> ScheduleOutcome {
+    spans.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    let makespan = spans.iter().map(|s| s.2).fold(0.0, f64::max);
+    ScheduleOutcome {
+        makespan_s: makespan,
+        mean_power_w: if makespan > 0.0 {
+            power_time_integral / makespan
+        } else {
+            0.0
+        },
+        peak_power_w: peak,
+        job_spans: spans,
     }
 }
 
@@ -330,8 +410,7 @@ mod tests {
         b.release(3000.0);
         b.commit(2000.0);
         assert!((b.peak_w() - 4500.0).abs() < 1e-9, "peak is the high-water mark");
-        let view = b.view();
-        assert!((view.budget_w - view.committed_w - 1500.0).abs() < 1e-9);
+        assert!((b.view().budget_w - b.committed_w() - 1500.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Differential equivalence: the event-driven scheduler versus the
-//! retained polling reference on random queues.
+//! retained polling reference (`polling/mod.rs`) on random queues.
 //!
 //! The event-driven rewrite claims *observational identity*, not mere
 //! approximation: admission stays quantised to cycle boundaries and the
@@ -8,8 +8,10 @@
 //! power-time integral — must compare equal with `==`. Every shipped
 //! policy is drawn, `TcoAware` with random tariffs.
 
+mod polling;
+
+use polling::run_polling;
 use vpp_powercap::policy::{ClassAware, FixedCap, SweetSpot, Uncapped};
-use vpp_powercap::scheduler::reference::run_polling;
 use vpp_powercap::{BatchJob, CapPolicy, CapResponse, Scheduler, TcoAware, TcoPrices, WorkloadClass};
 use vpp_substrate::prop::usize_in;
 use vpp_substrate::properties;
@@ -94,5 +96,40 @@ properties! {
         let slow = run_polling(&sched, &queue, policy.as_ref());
         assert_eq!(fast, slow, "{} diverged on {} jobs", policy.name(), queue.len());
         assert_eq!(fast.job_spans.len(), queue.len(), "every job must finish");
+    }
+}
+
+/// A VASP-like cap response: 300 W free, 200 W ≈ 9 % loss, 100 W dire.
+fn hungry_response() -> CapResponse {
+    CapResponse::new(vec![
+        (100.0, 0.40, 900.0),
+        (200.0, 0.91, 1300.0),
+        (300.0, 1.00, 1750.0),
+        (400.0, 1.00, 1810.0),
+    ])
+}
+
+#[test]
+fn event_driven_run_matches_polling_reference() {
+    let s = Scheduler::new(8, 4000.0);
+    let queue: Vec<BatchJob> = (0..6)
+        .map(|i| BatchJob {
+            id: i,
+            name: format!("job{i}"),
+            class: WorkloadClass::PowerHungry,
+            nodes: 1 + (i as usize % 2),
+            base_runtime_s: 400.0,
+            response: hungry_response(),
+            arrival_s: i as f64 * 90.0,
+        })
+        .collect();
+    let policies: [&dyn CapPolicy; 4] = [&Uncapped, &FixedCap(200.0), &ClassAware, &SweetSpot];
+    for policy in policies {
+        assert_eq!(
+            s.run_with(&queue, policy),
+            run_polling(&s, &queue, policy),
+            "{}",
+            policy.name()
+        );
     }
 }

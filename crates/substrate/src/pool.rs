@@ -30,8 +30,8 @@ pub fn workers_for(n: usize) -> usize {
 
 /// Map `f` over owned `items` in parallel, preserving input order.
 ///
-/// Panics in `f` propagate to the caller (the scope re-raises the first
-/// worker panic when it joins).
+/// Panics in `f` propagate to the caller with the first panicking
+/// worker's own payload, re-raised after every worker has been joined.
 pub fn par_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
@@ -47,23 +47,37 @@ where
     let results: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                IN_POOL.with(|flag| flag.set(true));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    IN_POOL.with(|flag| flag.set(true));
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let item = slots[i]
+                            .lock()
+                            .expect("poisoned input slot")
+                            .take()
+                            .expect("item claimed twice");
+                        let out = f(item);
+                        *results[i].lock().expect("poisoned result slot") = Some(out);
                     }
-                    let item = slots[i]
-                        .lock()
-                        .expect("poisoned input slot")
-                        .take()
-                        .expect("item claimed twice");
-                    let out = f(item);
-                    *results[i].lock().expect("poisoned result slot") = Some(out);
-                }
-            });
+                })
+            })
+            .collect();
+        // Join explicitly and re-raise the first worker panic with its own
+        // payload; left to the scope, it would surface only as the generic
+        // "a scoped thread panicked".
+        let mut first_panic = None;
+        for h in handles {
+            if let Err(payload) = h.join() {
+                first_panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
         }
     });
     results

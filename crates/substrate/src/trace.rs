@@ -1267,7 +1267,7 @@ impl HistogramShard {
 /// Record one observation into the named histogram, using the static
 /// per-metric bucket table ([`default_bounds`]).
 pub fn histogram(name: &'static str, value: f64) {
-    histogram_count_with(name, value, 1, default_bounds(name));
+    histogram_count(name, value, 1);
 }
 
 /// Record one observation with explicit static bucket bounds. Every
@@ -1280,7 +1280,10 @@ pub fn histogram_with(name: &'static str, value: f64, bounds: &'static [f64]) {
 /// executor records each power segment with `n` = its length in
 /// microseconds, so bucket counts measure GPU-time residency).
 pub fn histogram_count(name: &'static str, value: f64, n: u64) {
-    histogram_count_with(name, value, n, default_bounds(name));
+    // `default_bounds` string-scans the name: skip it when nothing records.
+    if enabled() {
+        histogram_count_with(name, value, n, default_bounds(name));
+    }
 }
 
 /// [`histogram_count`] with explicit static bucket bounds.
